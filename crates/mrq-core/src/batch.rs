@@ -19,9 +19,8 @@ use mrq_index::RStarTree;
 ///
 /// This is the workspace's shared "scoped-thread splitter": `evaluate_batch`
 /// fans focal records out with it, and the within-leaf cell enumeration
-/// shards its candidate-leaf frontier across it (workers typically pull work
-/// items from a shared atomic cursor rather than a static partition, so
-/// uneven leaves balance out).
+/// runs its workers on it (they pop leaves from one shared frontier rather
+/// than a static partition, so uneven leaves balance out).
 pub fn scatter<R, F>(threads: usize, worker: F) -> Vec<R>
 where
     R: Send,

@@ -49,6 +49,7 @@ use mrq_geometry::{
 use mrq_quadtree::{HalfSpaceId, HalfSpaceQuadTree, LeafView};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A non-empty cell found inside one leaf.
 #[derive(Debug, Clone)]
@@ -93,8 +94,8 @@ pub struct CellEnumOptions {
     /// non-empty without an LP.  The cell set is identical either way; this
     /// knob exists for ablation and differential testing.
     pub witness_cache: bool,
-    /// Threads the leaf frontier is sharded over (1 = sequential).  The cell
-    /// set is identical for any value.
+    /// Threads popping leaves from the shared leaf frontier (1 =
+    /// sequential).  The cells returned are identical for any value.
     pub threads: usize,
 }
 
@@ -834,8 +835,8 @@ fn compute_pair_conditions(
 ///   irrelevant to MaxRank/iMaxRank).
 /// * With `hard_limit = None` the bound adapts: the enumeration returns every
 ///   cell with order ≤ (minimum order found) + `tau`.
-/// * `options.threads > 1` shards the leaf frontier over that many scoped
-///   threads; the cells returned are identical for any thread count.
+/// * `options.threads > 1` has that many scoped threads pop leaves from the
+///   shared frontier; the cells returned are identical for any thread count.
 ///
 /// Returns the cells and the effective bound that was applied.
 ///
@@ -877,6 +878,12 @@ impl CellEnumerator {
     }
 
     /// See [`enumerate_cells`].
+    ///
+    /// One ordered walk over the quad-tree's best-first leaf frontier: each
+    /// leaf is served from the cache or enumerated as it comes up, and every
+    /// cell found tightens the cap that ends the walk.  With `threads > 1`
+    /// the workers pop from the same frontier behind a lock; cache inserts
+    /// wait for the merge after the walk.
     pub fn enumerate(
         &mut self,
         qt: &HalfSpaceQuadTree,
@@ -885,139 +892,130 @@ impl CellEnumerator {
         options: &CellEnumOptions,
         stats: &mut QueryStats,
     ) -> (Vec<ArrangementCell>, usize) {
-        let threads = options.threads.max(1);
         let simplex = reduced_simplex_constraint(qt.reduced_dims() + 1);
-        let mut leaves = qt.leaves();
-        leaves.sort_by_key(|l| l.full.len());
-        let mut best = usize::MAX;
-        let mut out: Vec<ArrangementCell> = Vec::new();
-        // First pass: serve every leaf whose enumeration is already cached
-        // with a sufficient Hamming-weight cap, in |F_l| order, so `best` is
-        // as tight as the cache allows before any computation starts.
-        let mut todo: Vec<&LeafView> = Vec::new();
-        for leaf in &leaves {
-            let f = leaf.full.len();
-            let cap = match hard_limit {
-                Some(l) => l,
-                None => best.saturating_add(tau),
-            };
-            if f > cap {
-                break; // leaves are sorted by |F_l|; none of the rest can qualify
-            }
-            let max_weight = (cap - f).min(leaf.partial.len());
-            let key = (leaf.node, f, leaf.partial.len());
-            match self.cache.get(&key) {
-                Some(cached) if cached.max_weight >= max_weight => {
-                    stats.leaves_processed += 1;
-                    for c in &cached.cells {
-                        if c.p_order > max_weight {
-                            continue;
-                        }
-                        let order = f + c.p_order;
-                        best = best.min(order);
-                        out.push(ArrangementCell {
-                            order,
-                            full: leaf.full.clone(),
-                            inside_partial: c.inside.clone(),
-                            region: c.region.clone(),
-                        });
-                    }
-                }
-                _ => todo.push(leaf),
-            }
-        }
-        // Second pass: enumerate the remaining leaves.  With `threads > 1`
-        // the frontier is sharded over scoped threads pulling from a shared
-        // cursor; `best` is a shared atomic that only ever shrinks, so a
-        // worker reading a stale value merely enumerates with a looser cap
-        // (extra cells are filtered by the final retain), never a tighter
-        // one — the result is identical to the sequential pass.
-        let shared_best = AtomicUsize::new(best);
-        let cursor = AtomicUsize::new(0);
-        let shard_outputs = scatter(threads.min(todo.len().max(1)), |_| {
+        // `best` only ever shrinks, so a worker reading a stale value merely
+        // enumerates with a looser cap (the merge filters the extra cells),
+        // never a tighter one — the result is identical for any thread count.
+        let best = AtomicUsize::new(usize::MAX);
+        let current_cap = || match hard_limit {
+            Some(l) => l,
+            None => best.load(Ordering::Relaxed).saturating_add(tau),
+        };
+        let frontier = Mutex::new(qt.frontier());
+        let shard_outputs = scatter(options.threads.max(1), |_| {
             let mut shard_stats = QueryStats::default();
-            let mut computed: Vec<(usize, usize, Vec<FoundCell>)> = Vec::new();
+            let mut visits: Vec<LeafVisit> = Vec::new();
             loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(leaf) = todo.get(i) else { break };
-                let f = leaf.full.len();
-                let cap = match hard_limit {
-                    Some(l) => l,
-                    None => shared_best.load(Ordering::Relaxed).saturating_add(tau),
+                let (leaf, cap) = {
+                    let mut frontier = frontier
+                        .lock()
+                        .expect("no worker panics while holding the frontier");
+                    let cap = current_cap();
+                    match frontier.next_within(cap) {
+                        Some(leaf) => (leaf, cap),
+                        None => break,
+                    }
                 };
-                if f > cap {
-                    // `best` only shrinks, so this leaf can never qualify;
-                    // later leaves have even larger |F_l| but other shards may
-                    // already hold some, so keep draining the cursor.
-                    continue;
-                }
+                let f = leaf.full.len();
                 let max_weight = (cap - f).min(leaf.partial.len());
                 shard_stats.leaves_processed += 1;
-                let partial: Vec<(HalfSpaceId, HalfSpace)> = leaf
-                    .partial
-                    .iter()
-                    .map(|&id| (id, qt.halfspace(id).clone()))
-                    .collect();
-                let cells = process_leaf(
-                    &leaf.bounds,
-                    &partial,
-                    &simplex,
-                    max_weight,
-                    tau,
-                    options,
-                    &mut shard_stats,
-                );
+                let (cells, computed) = match self.cache.get(&(leaf.node, f, leaf.partial.len())) {
+                    Some(cached) if cached.max_weight >= max_weight => {
+                        let cells = cached
+                            .cells
+                            .iter()
+                            .filter(|c| c.p_order <= max_weight)
+                            .cloned()
+                            .collect();
+                        (cells, None)
+                    }
+                    _ => {
+                        let partial: Vec<(HalfSpaceId, HalfSpace)> = leaf
+                            .partial
+                            .iter()
+                            .map(|&id| (id, qt.halfspace(id).clone()))
+                            .collect();
+                        let cells = process_leaf(
+                            &leaf.bounds,
+                            &partial,
+                            &simplex,
+                            max_weight,
+                            tau,
+                            options,
+                            &mut shard_stats,
+                        );
+                        (cells, Some(max_weight))
+                    }
+                };
                 if let Some(min) = cells.iter().map(|c| f + c.p_order).min() {
-                    shared_best.fetch_min(min, Ordering::Relaxed);
+                    best.fetch_min(min, Ordering::Relaxed);
                 }
-                computed.push((i, max_weight, cells));
+                visits.push(LeafVisit {
+                    leaf,
+                    cells,
+                    computed,
+                });
             }
-            (computed, shard_stats)
+            (visits, shard_stats)
         });
-        best = shared_best.load(Ordering::Relaxed);
-        // Merge shard outputs in leaf order so cache contents and the output
-        // cell order are independent of scheduling.
-        let mut merged: Vec<(usize, usize, Vec<FoundCell>)> = shard_outputs
+        // Merge in frontier order, (|F_l|, node), so cache contents and the
+        // output cell order are independent of scheduling.
+        let mut visits: Vec<LeafVisit> = shard_outputs
             .into_iter()
-            .flat_map(|(computed, shard_stats)| {
+            .flat_map(|(visits, shard_stats)| {
                 stats.leaves_processed += shard_stats.leaves_processed;
                 stats.cells_tested += shard_stats.cells_tested;
                 stats.bitstrings_pruned += shard_stats.bitstrings_pruned;
                 stats.lp_calls += shard_stats.lp_calls;
                 stats.witness_hits += shard_stats.witness_hits;
                 stats.subtrees_pruned += shard_stats.subtrees_pruned;
-                computed
+                visits
             })
             .collect();
-        merged.sort_by_key(|(i, _, _)| *i);
-        for (i, max_weight, cells) in merged {
-            let leaf = todo[i];
+        visits.sort_by_key(|v| (v.leaf.full.len(), v.leaf.node));
+        let effective = current_cap();
+        let mut out: Vec<ArrangementCell> = Vec::new();
+        for LeafVisit {
+            leaf,
+            cells,
+            computed,
+        } in visits
+        {
             let f = leaf.full.len();
-            self.cache.insert(
-                (leaf.node, f, leaf.partial.len()),
-                CachedLeaf {
-                    max_weight,
-                    cells: cells.clone(),
-                },
-            );
+            if let Some(max_weight) = computed {
+                self.cache.insert(
+                    (leaf.node, f, leaf.partial.len()),
+                    CachedLeaf {
+                        max_weight,
+                        cells: cells.clone(),
+                    },
+                );
+            }
             for c in cells {
                 let order = f + c.p_order;
-                best = best.min(order);
-                out.push(ArrangementCell {
-                    order,
-                    full: leaf.full.clone(),
-                    inside_partial: c.inside,
-                    region: c.region,
-                });
+                if order <= effective {
+                    out.push(ArrangementCell {
+                        order,
+                        full: leaf.full.clone(),
+                        inside_partial: c.inside,
+                        region: c.region,
+                    });
+                }
             }
         }
-        let effective = match hard_limit {
-            Some(l) => l,
-            None => best.saturating_add(tau),
-        };
-        out.retain(|c| c.order <= effective);
         (out, effective)
     }
+}
+
+/// One leaf handed out by the frontier during a [`CellEnumerator::enumerate`]
+/// walk.
+struct LeafVisit {
+    leaf: LeafView,
+    /// The leaf's cells within the Hamming-weight cap it was visited with.
+    cells: Vec<FoundCell>,
+    /// `Some(cap)` when the cells were enumerated by this walk (and join the
+    /// cache under that cap), `None` when they were served from the cache.
+    computed: Option<usize>,
 }
 
 /// Calls `f` with every sorted `k`-subset of `0..n`.
@@ -1061,6 +1059,96 @@ fn for_each_combination<F: FnMut(&[usize])>(n: usize, k: usize, mut f: F) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrq_quadtree::QuadTreeConfig;
+
+    impl CellEnumerator {
+        /// The build-sort-filter enumeration the frontier walk replaced, kept
+        /// as the specification [`CellEnumerator::enumerate`] is checked
+        /// against: copy every leaf, sort by `|F_l|`, serve the cached
+        /// leaves first, then enumerate the rest in order (sequentially).
+        fn enumerate_reference(
+            &mut self,
+            qt: &HalfSpaceQuadTree,
+            hard_limit: Option<usize>,
+            tau: usize,
+            options: &CellEnumOptions,
+            stats: &mut QueryStats,
+        ) -> (Vec<ArrangementCell>, usize) {
+            let simplex = reduced_simplex_constraint(qt.reduced_dims() + 1);
+            let mut leaves = qt.leaves();
+            leaves.sort_by_key(|l| l.full.len());
+            let mut best = usize::MAX;
+            let cap = |best: usize| match hard_limit {
+                Some(l) => l,
+                None => best.saturating_add(tau),
+            };
+            let mut out: Vec<ArrangementCell> = Vec::new();
+            let mut todo: Vec<&LeafView> = Vec::new();
+            for leaf in &leaves {
+                let f = leaf.full.len();
+                if f > cap(best) {
+                    break;
+                }
+                let max_weight = (cap(best) - f).min(leaf.partial.len());
+                match self.cache.get(&(leaf.node, f, leaf.partial.len())) {
+                    Some(cached) if cached.max_weight >= max_weight => {
+                        stats.leaves_processed += 1;
+                        for c in cached.cells.iter().filter(|c| c.p_order <= max_weight) {
+                            best = best.min(f + c.p_order);
+                            out.push(ArrangementCell {
+                                order: f + c.p_order,
+                                full: leaf.full.clone(),
+                                inside_partial: c.inside.clone(),
+                                region: c.region.clone(),
+                            });
+                        }
+                    }
+                    _ => todo.push(leaf),
+                }
+            }
+            for leaf in todo {
+                let f = leaf.full.len();
+                if f > cap(best) {
+                    continue;
+                }
+                let max_weight = (cap(best) - f).min(leaf.partial.len());
+                stats.leaves_processed += 1;
+                let partial: Vec<(HalfSpaceId, HalfSpace)> = leaf
+                    .partial
+                    .iter()
+                    .map(|&id| (id, qt.halfspace(id).clone()))
+                    .collect();
+                let cells = process_leaf(
+                    &leaf.bounds,
+                    &partial,
+                    &simplex,
+                    max_weight,
+                    tau,
+                    options,
+                    stats,
+                );
+                self.cache.insert(
+                    (leaf.node, f, leaf.partial.len()),
+                    CachedLeaf {
+                        max_weight,
+                        cells: cells.clone(),
+                    },
+                );
+                for c in cells {
+                    best = best.min(f + c.p_order);
+                    out.push(ArrangementCell {
+                        order: f + c.p_order,
+                        full: leaf.full.clone(),
+                        inside_partial: c.inside,
+                        region: c.region,
+                    });
+                }
+            }
+            let effective = cap(best);
+            out.retain(|c| c.order <= effective);
+            (out, effective)
+        }
+    }
 
     fn hs(coeffs: &[f64], rhs: f64) -> HalfSpace {
         HalfSpace::new(coeffs.to_vec(), rhs)
@@ -1473,11 +1561,27 @@ mod tests {
         assert!(stats.lp_calls + stats.witness_hits >= stats.cells_tested);
     }
 
+    /// Comparable identity of a cell: order, `F_l`, inside set and the bits
+    /// of its witness point.
+    type CellKey = (usize, Vec<HalfSpaceId>, Vec<HalfSpaceId>, Vec<u64>);
+
+    fn cell_key(c: &ArrangementCell) -> CellKey {
+        let witness = c.region.witness.iter().map(|x| x.to_bits()).collect();
+        (c.order, c.full.clone(), c.inside_partial.clone(), witness)
+    }
+
+    fn sorted_cell_keys(cells: &[ArrangementCell]) -> Vec<CellKey> {
+        let mut keys: Vec<_> = cells.iter().map(cell_key).collect();
+        keys.sort();
+        keys
+    }
+
     #[test]
     fn parallel_enumeration_matches_sequential() {
         // A richly overlapping arrangement split across several quad-tree
-        // leaves: sharding the frontier must not change the cell set, for
-        // both the fixed-cap and the adaptive-cap paths.
+        // leaves: sharing the frontier between workers must not change the
+        // cells or their order, for both the fixed-cap and the adaptive-cap
+        // paths.
         let mut qt = HalfSpaceQuadTree::new(2);
         let mut v = 0.31f64;
         for _ in 0..24 {
@@ -1489,27 +1593,113 @@ mod tests {
             qt.insert(hs(&[a, b], v * 0.8 - 0.2));
         }
         for hard_limit in [None, Some(3)] {
-            let mut seq_stats = QueryStats::default();
-            let (seq, seq_limit) = enumerate_cells(&qt, hard_limit, 1, &opts(), &mut seq_stats);
-            let mut par_stats = QueryStats::default();
-            let par_opts = CellEnumOptions {
-                threads: 4,
-                ..opts()
-            };
-            let (par, par_limit) = enumerate_cells(&qt, hard_limit, 1, &par_opts, &mut par_stats);
-            assert_eq!(seq_limit, par_limit, "hard_limit {hard_limit:?}");
-            let key = |c: &ArrangementCell| {
-                let mut full = c.full.clone();
-                full.sort_unstable();
-                (c.order, full, c.inside_partial.clone())
-            };
-            let mut a: Vec<_> = seq.iter().map(key).collect();
-            let mut b: Vec<_> = par.iter().map(key).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "hard_limit {hard_limit:?}");
-            assert!(par_stats.leaves_processed >= seq_stats.leaves_processed);
+            for tau in 0..=2 {
+                let mut seq_stats = QueryStats::default();
+                let (seq, seq_limit) =
+                    enumerate_cells(&qt, hard_limit, tau, &opts(), &mut seq_stats);
+                let mut par_stats = QueryStats::default();
+                let par_opts = CellEnumOptions {
+                    threads: 4,
+                    ..opts()
+                };
+                let (par, par_limit) =
+                    enumerate_cells(&qt, hard_limit, tau, &par_opts, &mut par_stats);
+                let case = format!("hard_limit {hard_limit:?} tau {tau}");
+                assert_eq!(seq_limit, par_limit, "{case}");
+                let a: Vec<_> = seq.iter().map(cell_key).collect();
+                let b: Vec<_> = par.iter().map(cell_key).collect();
+                assert_eq!(a, b, "{case}");
+                assert!(par_stats.leaves_processed >= seq_stats.leaves_processed);
+            }
         }
+    }
+
+    #[test]
+    fn frontier_enumeration_matches_build_sort_filter_reference() {
+        // AA-style: half-spaces arrive in batches and one enumerator per side
+        // is reused across every call, so leaves the new half-spaces miss are
+        // served from the cache, and a bound raised between calls (as AA's
+        // re-enumeration with `o* + τ` does) forces cached leaves whose cap
+        // is too small to be enumerated again.  The frontier walk must
+        // return the reference's cells for every bound, τ and thread count.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let par_opts = CellEnumOptions {
+            threads: 4,
+            ..opts()
+        };
+        let mut cache_served = 0;
+        for dr in [2usize, 3] {
+            let batches: Vec<Vec<HalfSpace>> = (0..4)
+                .map(|_| {
+                    (0..7)
+                        .map(|_| {
+                            let coeffs: Vec<f64> = (0..dr).map(|_| next() * 2.0 - 1.0).collect();
+                            HalfSpace::new(coeffs, next() * 0.8 - 0.2)
+                        })
+                        .collect()
+                })
+                .collect();
+            for tau in 0..=2 {
+                let mut qt = HalfSpaceQuadTree::with_config(
+                    dr,
+                    QuadTreeConfig {
+                        split_threshold: 4,
+                        max_depth: 4,
+                    },
+                );
+                let mut reference = CellEnumerator::new();
+                let mut sequential = CellEnumerator::new();
+                let mut parallel = CellEnumerator::new();
+                for (round, batch) in batches.iter().enumerate() {
+                    for h in batch {
+                        qt.insert(h.clone());
+                    }
+                    for hard_limit in [None, Some(1), Some(3), None] {
+                        let case = format!("dr {dr} tau {tau} round {round} {hard_limit:?}");
+                        let (want, want_limit) = reference.enumerate_reference(
+                            &qt,
+                            hard_limit,
+                            tau,
+                            &opts(),
+                            &mut QueryStats::default(),
+                        );
+                        let mut seq_stats = QueryStats::default();
+                        let (seq, seq_limit) =
+                            sequential.enumerate(&qt, hard_limit, tau, &opts(), &mut seq_stats);
+                        let (par, par_limit) = parallel.enumerate(
+                            &qt,
+                            hard_limit,
+                            tau,
+                            &par_opts,
+                            &mut QueryStats::default(),
+                        );
+                        assert_eq!(seq_limit, want_limit, "{case}");
+                        assert_eq!(par_limit, want_limit, "{case}");
+                        assert_eq!(sorted_cell_keys(&seq), sorted_cell_keys(&want), "{case}");
+                        let seq_keys: Vec<_> = seq.iter().map(cell_key).collect();
+                        let par_keys: Vec<_> = par.iter().map(cell_key).collect();
+                        assert_eq!(par_keys, seq_keys, "{case}");
+                        // The same call again meets only cached leaves.
+                        let mut again_stats = QueryStats::default();
+                        let (again, again_limit) =
+                            sequential.enumerate(&qt, hard_limit, tau, &opts(), &mut again_stats);
+                        assert_eq!(again_limit, seq_limit, "{case}");
+                        let again_keys: Vec<_> = again.iter().map(cell_key).collect();
+                        assert_eq!(again_keys, seq_keys, "{case}");
+                        assert_eq!(again_stats.cells_tested, 0, "{case}");
+                        assert_eq!(again_stats.leaves_processed, seq_stats.leaves_processed);
+                        cache_served += again_stats.leaves_processed;
+                    }
+                }
+            }
+        }
+        assert!(cache_served > 0);
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! For every leaf `l` the tree can report `F_l` (the union of the containment
 //! sets on the root-to-leaf path) and `P_l`; `|F_l|` is the lower bound on the
 //! order of every arrangement cell inside the leaf that drives BA's and AA's
-//! leaf pruning.
+//! leaf pruning.  [`HalfSpaceQuadTree::frontier`] hands the leaves out
+//! best-first in that order, touching only the subtrees within the caller's
+//! bound.
 
 pub mod tree;
 
-pub use tree::{HalfSpaceId, HalfSpaceQuadTree, LeafView, QuadTreeConfig};
+pub use tree::{HalfSpaceId, HalfSpaceQuadTree, LeafFrontier, LeafView, QuadTreeConfig};

@@ -1,6 +1,9 @@
 //! Implementation of the augmented half-space quad-tree.
 
 use mrq_geometry::{reduced_simplex_constraint, BoundingBox, BoxRelation, HalfSpace};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Identifier of a half-space stored in the tree (insertion order).
 pub type HalfSpaceId = u32;
@@ -37,7 +40,7 @@ impl QuadTreeConfig {
 }
 
 /// A read-only view of one leaf, as consumed by the MaxRank algorithms.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeafView {
     /// Index of the leaf node inside the tree (stable across insertions that
     /// do not split it).
@@ -53,14 +56,21 @@ pub struct LeafView {
 
 #[derive(Debug, Clone)]
 enum NodeKind {
-    Leaf { partial: Vec<HalfSpaceId> },
-    Internal { children: Vec<usize> },
+    Leaf {
+        partial: Vec<HalfSpaceId>,
+    },
+    /// The children are created together by one split, so their indices
+    /// are contiguous.
+    Internal {
+        children: Range<usize>,
+    },
 }
 
 #[derive(Debug, Clone)]
 struct QNode {
     bounds: BoundingBox,
     depth: usize,
+    parent: Option<usize>,
     /// Half-spaces fully containing this node but not its parent.
     containment: Vec<HalfSpaceId>,
     kind: NodeKind,
@@ -93,6 +103,7 @@ impl HalfSpaceQuadTree {
         let root = QNode {
             bounds: BoundingBox::unit(dr),
             depth: 0,
+            parent: None,
             containment: Vec::new(),
             kind: NodeKind::Leaf {
                 partial: Vec::new(),
@@ -168,6 +179,7 @@ impl HalfSpaceQuadTree {
                         }
                         return;
                     }
+                    // A `Range` clone copies two indices, not the child list.
                     NodeKind::Internal { children } => children.clone(),
                 };
                 for child in children {
@@ -188,7 +200,7 @@ impl HalfSpaceQuadTree {
             };
             (node.bounds.clone(), node.depth, partial)
         };
-        let mut children = Vec::new();
+        let first_child = self.nodes.len();
         for quadrant in bounds.quadrants() {
             // Drop quadrants completely outside Σ q_i < 1.
             if quadrant.relation_to(&self.simplex) == BoxRelation::Disjoint {
@@ -206,14 +218,15 @@ impl HalfSpaceQuadTree {
             let child = QNode {
                 bounds: quadrant,
                 depth: depth + 1,
+                parent: Some(node_idx),
                 containment,
                 kind: NodeKind::Leaf {
                     partial: child_partial,
                 },
             };
             self.nodes.push(child);
-            children.push(self.nodes.len() - 1);
         }
+        let children = first_child..self.nodes.len();
         self.nodes[node_idx].kind = NodeKind::Internal {
             children: children.clone(),
         };
@@ -232,11 +245,26 @@ impl HalfSpaceQuadTree {
         }
     }
 
-    /// Collects all leaves together with their `F_l` and `P_l` sets.
+    /// A best-first walk over the leaves in nondecreasing `|F_l|`; see
+    /// [`LeafFrontier`].
+    pub fn frontier(&self) -> LeafFrontier<'_> {
+        LeafFrontier {
+            tree: self,
+            heap: BinaryHeap::from([Reverse((
+                self.nodes[self.root].containment.len(),
+                self.root,
+            ))]),
+        }
+    }
+
+    /// Collects all leaves together with their `F_l` and `P_l` sets, in
+    /// depth-first order.
     ///
     /// Leaves fully outside the permissible simplex never exist (discarded at
     /// split time); the root itself always straddles the simplex boundary and
-    /// is therefore kept.
+    /// is therefore kept.  The algorithms walk [`HalfSpaceQuadTree::frontier`]
+    /// instead; this copy of every leaf is the reference the frontier is
+    /// tested against.
     pub fn leaves(&self) -> Vec<LeafView> {
         let mut out = Vec::new();
         let mut inherited = Vec::new();
@@ -263,12 +291,34 @@ impl HalfSpaceQuadTree {
                 });
             }
             NodeKind::Internal { children } => {
-                for &child in children {
+                for child in children.clone() {
                     self.collect_leaves(child, inherited, out);
                 }
             }
         }
         inherited.truncate(inherited.len() - pushed);
+    }
+
+    /// The view of leaf `node_idx`, with `F_l` assembled from the containment
+    /// sets on its root path (root first, as [`HalfSpaceQuadTree::leaves`]
+    /// orders it).
+    fn leaf_view(&self, node_idx: usize, full_len: usize, partial: &[HalfSpaceId]) -> LeafView {
+        let mut path = Vec::with_capacity(self.nodes[node_idx].depth + 1);
+        let mut cur = Some(node_idx);
+        while let Some(i) = cur {
+            path.push(i);
+            cur = self.nodes[i].parent;
+        }
+        let mut full = Vec::with_capacity(full_len);
+        for &i in path.iter().rev() {
+            full.extend_from_slice(&self.nodes[i].containment);
+        }
+        LeafView {
+            node: node_idx,
+            bounds: self.nodes[node_idx].bounds.clone(),
+            full,
+            partial: partial.to_vec(),
+        }
     }
 
     /// For a single point of the reduced query space, the ids of all inserted
@@ -281,6 +331,52 @@ impl HalfSpaceQuadTree {
             .filter(|(_, h)| h.contains(q))
             .map(|(i, _)| i as HalfSpaceId)
             .collect()
+    }
+}
+
+/// Best-first walk over the leaves of a [`HalfSpaceQuadTree`] in
+/// nondecreasing `|F_l|` (ties in increasing node index), the order in which
+/// BA and AA process leaves.
+///
+/// A min-heap holds unexpanded nodes keyed by the containment count they
+/// inherit from their root path.  Internal nodes are expanded only when they
+/// reach the top, and `F_l` is assembled only for the leaves handed out, so
+/// subtrees whose inherited count already exceeds the caller's cap are never
+/// visited.
+#[derive(Debug)]
+pub struct LeafFrontier<'a> {
+    tree: &'a HalfSpaceQuadTree,
+    /// `(inherited containment count, node)` of the unexpanded nodes.
+    heap: BinaryHeap<Reverse<(usize, usize)>>,
+}
+
+impl LeafFrontier<'_> {
+    /// The next leaf, if its `|F_l|` is at most `cap`.
+    ///
+    /// Once the next leaf exceeds `cap` the walk is over for good: the
+    /// frontier is cleared and every later call returns `None`, whatever its
+    /// cap.  Callers lower the cap as better cells turn up, never raise it.
+    pub fn next_within(&mut self, cap: usize) -> Option<LeafView> {
+        while let Some(&Reverse((count, node_idx))) = self.heap.peek() {
+            if count > cap {
+                self.heap.clear();
+                return None;
+            }
+            self.heap.pop();
+            let nodes = &self.tree.nodes;
+            match &nodes[node_idx].kind {
+                NodeKind::Leaf { partial } => {
+                    return Some(self.tree.leaf_view(node_idx, count, partial))
+                }
+                NodeKind::Internal { children } => {
+                    for child in children.clone() {
+                        let inherited = count + nodes[child].containment.len();
+                        self.heap.push(Reverse((inherited, child)));
+                    }
+                }
+            }
+        }
+        None
     }
 }
 
@@ -405,6 +501,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Drains the frontier at a fixed cap.
+    fn walk(t: &HalfSpaceQuadTree, cap: usize) -> Vec<LeafView> {
+        let mut frontier = t.frontier();
+        std::iter::from_fn(|| frontier.next_within(cap)).collect()
+    }
+
+    #[test]
+    fn frontier_yields_the_leaves_within_the_cap_best_first() {
+        let mut t = HalfSpaceQuadTree::with_config(
+            2,
+            QuadTreeConfig {
+                split_threshold: 3,
+                max_depth: 4,
+            },
+        );
+        let mut v = 0.29f64;
+        for _ in 0..40 {
+            v = (v * 997.0).fract();
+            let a = v * 2.0 - 1.0;
+            v = (v * 997.0).fract();
+            let b = v * 2.0 - 1.0;
+            v = (v * 997.0).fract();
+            t.insert(hs(&[a, b], v * 0.8 - 0.2));
+        }
+        let mut reference = t.leaves();
+        reference.sort_by_key(|l| (l.full.len(), l.node));
+        let deepest = reference.last().unwrap().full.len();
+        assert!(
+            deepest > 2 && t.leaf_count() > 10,
+            "the walk must be non-trivial"
+        );
+        for cap in (0..=deepest + 1).chain([usize::MAX]) {
+            let expected: Vec<_> = reference
+                .iter()
+                .filter(|l| l.full.len() <= cap)
+                .cloned()
+                .collect();
+            assert_eq!(walk(&t, cap), expected, "cap {cap}");
+        }
+        // Lowering the cap below the next leaf ends the walk for good.
+        let stop = reference.iter().position(|l| !l.full.is_empty()).unwrap();
+        let mut frontier = t.frontier();
+        for leaf in &reference[..stop] {
+            assert_eq!(frontier.next_within(usize::MAX).as_ref(), Some(leaf));
+        }
+        assert_eq!(frontier.next_within(reference[stop].full.len() - 1), None);
+        assert_eq!(frontier.next_within(usize::MAX), None);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property-based tests for the augmented quad-tree: for random half-space
 //! sets, every leaf's full-containment and partial-overlap sets must be
 //! geometrically correct and jointly account for every inserted half-space,
-//! and membership derived from the tree must agree with direct evaluation.
+//! and membership derived from the tree must agree with direct evaluation;
+//! the best-first leaf frontier must hand out exactly the leaves within its
+//! cap, in nondecreasing `|F_l|`.
 
 use mrq_geometry::{BoxRelation, HalfSpace};
 use mrq_quadtree::{HalfSpaceQuadTree, QuadTreeConfig};
@@ -83,6 +85,49 @@ proptest! {
         // And every full-containment half-space really contains the point.
         for id in &leaf.full {
             prop_assert!(qt.halfspace(*id).contains(&point) || qt.halfspace(*id).slack(&point) > -1e-9);
+        }
+    }
+
+    /// The frontier yields exactly the `leaves()` entries with `|F_l|` ≤ cap
+    /// (same `F_l`/`P_l`), in (`|F_l|`, node) order, and a cap lowered below
+    /// the next leaf mid-walk ends it for good.
+    #[test]
+    fn frontier_matches_sorted_leaves(
+        dr in 1usize..4,
+        seed in any::<u64>(),
+        threshold in 2usize..10,
+        cap in 0usize..12,
+        stop_seed in any::<u64>(),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut qt = HalfSpaceQuadTree::with_config(
+            dr,
+            QuadTreeConfig { split_threshold: threshold, max_depth: 4 },
+        );
+        for _ in 0..rng.gen_range(1..40) {
+            let coeffs: Vec<f64> = (0..dr).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
+            if coeffs.iter().all(|c| c.abs() < 1e-6) {
+                continue;
+            }
+            qt.insert(HalfSpace::new(coeffs, rng.gen::<f64>() - 0.5));
+        }
+        let mut reference = qt.leaves();
+        reference.sort_by_key(|l| (l.full.len(), l.node));
+        let mut frontier = qt.frontier();
+        let walked: Vec<_> = std::iter::from_fn(|| frontier.next_within(cap)).collect();
+        let expected: Vec<_> = reference.iter().filter(|l| l.full.len() <= cap).cloned().collect();
+        prop_assert_eq!(walked, expected);
+        prop_assert_eq!(frontier.next_within(usize::MAX), None);
+
+        let stop = (stop_seed % reference.len() as u64) as usize;
+        let mut frontier = qt.frontier();
+        for leaf in &reference[..stop] {
+            prop_assert_eq!(frontier.next_within(usize::MAX).as_ref(), Some(leaf));
+        }
+        if let Some(lowered) = reference[stop].full.len().checked_sub(1) {
+            prop_assert_eq!(frontier.next_within(lowered), None);
+            prop_assert_eq!(frontier.next_within(usize::MAX), None);
         }
     }
 }
