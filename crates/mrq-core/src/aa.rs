@@ -105,7 +105,7 @@ pub fn run_point(
         stats.iterations += 1;
         let hard_limit = o_star.map(|o| o + tau);
         let (cells, effective_limit) = enumerator.enumerate(
-            &state.qt,
+            &mut state.qt,
             hard_limit,
             tau,
             &config.cell_enum_options(),

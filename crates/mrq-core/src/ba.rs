@@ -123,7 +123,7 @@ pub fn run_point(
         return trivial_result(d, base, tau, stats);
     }
 
-    let (cells, _) = enumerate_cells(&qt, None, tau, &config.cell_enum_options(), &mut stats);
+    let (cells, _) = enumerate_cells(&mut qt, None, tau, &config.cell_enum_options(), &mut stats);
     stats.io_reads = tree.io().reads().saturating_sub(io_base);
     let mut result = build_result(d, base, tau, cells, &registry, stats);
     result.stats.cpu_time = start.elapsed();

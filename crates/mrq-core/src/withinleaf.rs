@@ -844,7 +844,7 @@ fn compute_pair_conditions(
 /// iterative AA keeps a [`CellEnumerator`] alive across iterations so that
 /// leaves untouched by newly inserted half-spaces are not re-enumerated.
 pub fn enumerate_cells(
-    qt: &HalfSpaceQuadTree,
+    qt: &mut HalfSpaceQuadTree,
     hard_limit: Option<usize>,
     tau: usize,
     options: &CellEnumOptions,
@@ -863,9 +863,11 @@ struct CachedLeaf {
 /// Arrangement-cell enumerator with a per-leaf memo.
 ///
 /// The cache key is `(leaf node, |F_l|, |P_l|)`: half-spaces are only ever
-/// *added* to the quad-tree, so identical set sizes imply identical sets, and
-/// a cached enumeration that was run with a Hamming-weight cap at least as
-/// large as the one currently required can be reused after filtering.
+/// *added* to the quad-tree and nodes are only ever appended (a leaf keeps
+/// its index until it splits, and is never handed out again after), so
+/// identical set sizes imply identical sets, and a cached enumeration that
+/// was run with a Hamming-weight cap at least as large as the one currently
+/// required can be reused after filtering.
 #[derive(Debug, Default)]
 pub struct CellEnumerator {
     cache: std::collections::HashMap<(usize, usize, usize), CachedLeaf>,
@@ -881,12 +883,14 @@ impl CellEnumerator {
     ///
     /// One ordered walk over the quad-tree's best-first leaf frontier: each
     /// leaf is served from the cache or enumerated as it comes up, and every
-    /// cell found tightens the cap that ends the walk.  With `threads > 1`
-    /// the workers pop from the same frontier behind a lock; cache inserts
-    /// wait for the merge after the walk.
+    /// cell found tightens the cap that ends the walk.  The walk splits the
+    /// leaves it reaches, hence the mutable tree.  With `threads > 1` the
+    /// workers pop from the same frontier behind a lock (and copy the leaf's
+    /// half-spaces under it); cache inserts wait for the merge after the
+    /// walk.
     pub fn enumerate(
         &mut self,
-        qt: &HalfSpaceQuadTree,
+        qt: &mut HalfSpaceQuadTree,
         hard_limit: Option<usize>,
         tau: usize,
         options: &CellEnumOptions,
@@ -906,15 +910,21 @@ impl CellEnumerator {
             let mut shard_stats = QueryStats::default();
             let mut visits: Vec<LeafVisit> = Vec::new();
             loop {
-                let (leaf, cap) = {
+                let (leaf, cap, partial) = {
                     let mut frontier = frontier
                         .lock()
                         .expect("no worker panics while holding the frontier");
                     let cap = current_cap();
-                    match frontier.next_within(cap) {
-                        Some(leaf) => (leaf, cap),
-                        None => break,
-                    }
+                    let Some(leaf) = frontier.next_within(cap) else {
+                        break;
+                    };
+                    // The walk holds the tree: copy the half-spaces under the lock.
+                    let partial: Vec<(HalfSpaceId, HalfSpace)> = leaf
+                        .partial
+                        .iter()
+                        .map(|&id| (id, frontier.halfspace(id).clone()))
+                        .collect();
+                    (leaf, cap, partial)
                 };
                 let f = leaf.full.len();
                 let max_weight = (cap - f).min(leaf.partial.len());
@@ -930,11 +940,6 @@ impl CellEnumerator {
                         (cells, None)
                     }
                     _ => {
-                        let partial: Vec<(HalfSpaceId, HalfSpace)> = leaf
-                            .partial
-                            .iter()
-                            .map(|&id| (id, qt.halfspace(id).clone()))
-                            .collect();
                         let cells = process_leaf(
                             &leaf.bounds,
                             &partial,
@@ -958,8 +963,11 @@ impl CellEnumerator {
             }
             (visits, shard_stats)
         });
-        // Merge in frontier order, (|F_l|, node), so cache contents and the
-        // output cell order are independent of scheduling.
+        // Merge in (|F_l|, lower corner) order, so cache contents and the
+        // output cell order are independent of scheduling.  Not the node
+        // index: a worker with a stale, looser cap may split leaves a
+        // sequential walk never reaches, so later splits get other indices;
+        // the lower corner is unique among leaves whatever the split history.
         let mut visits: Vec<LeafVisit> = shard_outputs
             .into_iter()
             .flat_map(|(visits, shard_stats)| {
@@ -972,7 +980,12 @@ impl CellEnumerator {
                 visits
             })
             .collect();
-        visits.sort_by_key(|v| (v.leaf.full.len(), v.leaf.node));
+        visits.sort_by_cached_key(|v| {
+            // Corner coordinates lie in [0, 1], where the bit patterns of
+            // non-negative floats sort like their values.
+            let corner: Vec<u64> = v.leaf.bounds.lo.iter().map(|x| x.to_bits()).collect();
+            (v.leaf.full.len(), corner)
+        });
         let effective = current_cap();
         let mut out: Vec<ArrangementCell> = Vec::new();
         for LeafVisit {
@@ -1152,6 +1165,13 @@ mod tests {
 
     fn hs(coeffs: &[f64], rhs: f64) -> HalfSpace {
         HalfSpace::new(coeffs.to_vec(), rhs)
+    }
+
+    /// Splits every leaf over the threshold, as splitting after every insert
+    /// would have: a walk with no cap reaches every leaf.
+    fn split_all(qt: &mut HalfSpaceQuadTree) {
+        let mut frontier = qt.frontier();
+        while frontier.next_within(usize::MAX).is_some() {}
     }
 
     fn simplex2() -> HalfSpace {
@@ -1531,7 +1551,7 @@ mod tests {
             qt.insert(h.clone());
         }
         let mut stats = QueryStats::default();
-        let (cells, _) = enumerate_cells(&qt, None, 0, &opts(), &mut stats);
+        let (cells, _) = enumerate_cells(&mut qt, None, 0, &opts(), &mut stats);
         assert!(!cells.is_empty());
         let min_order = cells.iter().map(|c| c.order).min().unwrap();
         // Dense grid reference.
@@ -1581,7 +1601,8 @@ mod tests {
         // A richly overlapping arrangement split across several quad-tree
         // leaves: sharing the frontier between workers must not change the
         // cells or their order, for both the fixed-cap and the adaptive-cap
-        // paths.
+        // paths.  Each side splits its own copy of the tree across the calls,
+        // so a diverging split history cannot hide.
         let mut qt = HalfSpaceQuadTree::new(2);
         let mut v = 0.31f64;
         for _ in 0..24 {
@@ -1592,18 +1613,19 @@ mod tests {
             v = (v * 997.0).fract();
             qt.insert(hs(&[a, b], v * 0.8 - 0.2));
         }
+        let mut par_qt = qt.clone();
         for hard_limit in [None, Some(3)] {
             for tau in 0..=2 {
                 let mut seq_stats = QueryStats::default();
                 let (seq, seq_limit) =
-                    enumerate_cells(&qt, hard_limit, tau, &opts(), &mut seq_stats);
+                    enumerate_cells(&mut qt, hard_limit, tau, &opts(), &mut seq_stats);
                 let mut par_stats = QueryStats::default();
                 let par_opts = CellEnumOptions {
                     threads: 4,
                     ..opts()
                 };
                 let (par, par_limit) =
-                    enumerate_cells(&qt, hard_limit, tau, &par_opts, &mut par_stats);
+                    enumerate_cells(&mut par_qt, hard_limit, tau, &par_opts, &mut par_stats);
                 let case = format!("hard_limit {hard_limit:?} tau {tau}");
                 assert_eq!(seq_limit, par_limit, "{case}");
                 let a: Vec<_> = seq.iter().map(cell_key).collect();
@@ -1622,6 +1644,11 @@ mod tests {
         // re-enumeration with `o* + τ` does) forces cached leaves whose cap
         // is too small to be enumerated again.  The frontier walk must
         // return the reference's cells for every bound, τ and thread count.
+        // The reference walks an eagerly split twin (split after each batch,
+        // so its node ids stay stable for its reused enumerator); the
+        // sequential and the parallel side each split their own lazy tree.
+        // A walk over the twin, whose nodes are numbered in another split
+        // order, must return the same cells in the same order too.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1646,34 +1673,45 @@ mod tests {
                 })
                 .collect();
             for tau in 0..=2 {
-                let mut qt = HalfSpaceQuadTree::with_config(
+                let mut eager_qt = HalfSpaceQuadTree::with_config(
                     dr,
                     QuadTreeConfig {
                         split_threshold: 4,
                         max_depth: 4,
                     },
                 );
+                let mut seq_qt = eager_qt.clone();
+                let mut par_qt = eager_qt.clone();
                 let mut reference = CellEnumerator::new();
                 let mut sequential = CellEnumerator::new();
                 let mut parallel = CellEnumerator::new();
+                let mut on_eager = CellEnumerator::new();
                 for (round, batch) in batches.iter().enumerate() {
                     for h in batch {
-                        qt.insert(h.clone());
+                        eager_qt.insert(h.clone());
+                        seq_qt.insert(h.clone());
+                        par_qt.insert(h.clone());
                     }
+                    split_all(&mut eager_qt);
                     for hard_limit in [None, Some(1), Some(3), None] {
                         let case = format!("dr {dr} tau {tau} round {round} {hard_limit:?}");
                         let (want, want_limit) = reference.enumerate_reference(
-                            &qt,
+                            &eager_qt,
                             hard_limit,
                             tau,
                             &opts(),
                             &mut QueryStats::default(),
                         );
                         let mut seq_stats = QueryStats::default();
-                        let (seq, seq_limit) =
-                            sequential.enumerate(&qt, hard_limit, tau, &opts(), &mut seq_stats);
+                        let (seq, seq_limit) = sequential.enumerate(
+                            &mut seq_qt,
+                            hard_limit,
+                            tau,
+                            &opts(),
+                            &mut seq_stats,
+                        );
                         let (par, par_limit) = parallel.enumerate(
-                            &qt,
+                            &mut par_qt,
                             hard_limit,
                             tau,
                             &par_opts,
@@ -1685,10 +1723,36 @@ mod tests {
                         let seq_keys: Vec<_> = seq.iter().map(cell_key).collect();
                         let par_keys: Vec<_> = par.iter().map(cell_key).collect();
                         assert_eq!(par_keys, seq_keys, "{case}");
+                        // Leaves merge in (|F_l|, lower corner) order, never
+                        // by node index, which depends on the split history.
+                        let leaf_order = |c: &ArrangementCell| {
+                            let corner: Vec<u64> =
+                                c.region.bounds.lo.iter().map(|x| x.to_bits()).collect();
+                            (c.full.len(), corner)
+                        };
+                        assert!(
+                            seq.windows(2)
+                                .all(|w| leaf_order(&w[0]) <= leaf_order(&w[1])),
+                            "{case}"
+                        );
+                        let (eager, _) = on_eager.enumerate(
+                            &mut eager_qt,
+                            hard_limit,
+                            tau,
+                            &opts(),
+                            &mut QueryStats::default(),
+                        );
+                        let eager_keys: Vec<_> = eager.iter().map(cell_key).collect();
+                        assert_eq!(eager_keys, seq_keys, "{case}");
                         // The same call again meets only cached leaves.
                         let mut again_stats = QueryStats::default();
-                        let (again, again_limit) =
-                            sequential.enumerate(&qt, hard_limit, tau, &opts(), &mut again_stats);
+                        let (again, again_limit) = sequential.enumerate(
+                            &mut seq_qt,
+                            hard_limit,
+                            tau,
+                            &opts(),
+                            &mut again_stats,
+                        );
                         assert_eq!(again_limit, seq_limit, "{case}");
                         let again_keys: Vec<_> = again.iter().map(cell_key).collect();
                         assert_eq!(again_keys, seq_keys, "{case}");
@@ -1719,8 +1783,8 @@ mod tests {
         }
         let mut s_wit = QueryStats::default();
         let mut s_lp = QueryStats::default();
-        let (wit, wl) = enumerate_cells(&qt, None, 1, &opts(), &mut s_wit);
-        let (lp, ll) = enumerate_cells(&qt, None, 1, &lp_only(), &mut s_lp);
+        let (wit, wl) = enumerate_cells(&mut qt, None, 1, &opts(), &mut s_wit);
+        let (lp, ll) = enumerate_cells(&mut qt, None, 1, &lp_only(), &mut s_lp);
         assert_eq!(wl, ll);
         let key = |c: &ArrangementCell| {
             let mut full = c.full.clone();
@@ -1752,14 +1816,14 @@ mod tests {
         // With a hard limit of 2 and tau = 2, every cell within 2 of each
         // leaf's minimum and with order ≤ 2 must be reported.
         let mut stats = QueryStats::default();
-        let (cells, limit) = enumerate_cells(&qt, Some(2), 2, &opts(), &mut stats);
+        let (cells, limit) = enumerate_cells(&mut qt, Some(2), 2, &opts(), &mut stats);
         assert_eq!(limit, 2);
         let orders: std::collections::BTreeSet<usize> = cells.iter().map(|c| c.order).collect();
         assert!(orders.contains(&0) && orders.contains(&1) && orders.contains(&2));
         assert!(!orders.contains(&3));
         // With tau = 0 only the minimum-order cells survive.
         let mut stats = QueryStats::default();
-        let (cells, _) = enumerate_cells(&qt, None, 0, &opts(), &mut stats);
+        let (cells, _) = enumerate_cells(&mut qt, None, 0, &opts(), &mut stats);
         assert!(cells.iter().all(|c| c.order == 0));
     }
 }

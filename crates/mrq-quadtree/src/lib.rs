@@ -11,16 +11,17 @@
 //! * the **partial-overlap set** (leaves only) — half-spaces whose supporting
 //!   hyperplane crosses the leaf.
 //!
-//! A leaf splits into its `2^(d−1)` quadrants when its partial-overlap set
-//! exceeds a threshold; children that fall completely outside the permissible
-//! simplex (`Σ q_i < 1`) are discarded.
+//! A leaf whose partial-overlap set exceeds a threshold splits into its
+//! `2^(d−1)` quadrants; children that fall completely outside the permissible
+//! simplex (`Σ q_i < 1`) are discarded.  Splits happen on demand: an insert
+//! only files the half-space, and the leaf is split when a walk reaches it.
 //!
 //! For every leaf `l` the tree can report `F_l` (the union of the containment
 //! sets on the root-to-leaf path) and `P_l`; `|F_l|` is the lower bound on the
 //! order of every arrangement cell inside the leaf that drives BA's and AA's
 //! leaf pruning.  [`HalfSpaceQuadTree::frontier`] hands the leaves out
-//! best-first in that order, touching only the subtrees within the caller's
-//! bound.
+//! best-first in that order, touching (and splitting) only the subtrees
+//! within the caller's bound.
 
 pub mod tree;
 

@@ -11,7 +11,8 @@ pub type HalfSpaceId = u32;
 /// Split/depth configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuadTreeConfig {
-    /// A leaf splits when its partial-overlap set grows beyond this size.
+    /// A leaf whose partial-overlap set grows beyond this size splits when
+    /// a [`LeafFrontier`] walk reaches it.
     pub split_threshold: usize,
     /// Maximum tree depth (the root has depth 0).  Bounds memory: a split
     /// creates `2^(d−1)` children, so high-dimensional trees stay shallow.
@@ -42,8 +43,7 @@ impl QuadTreeConfig {
 /// A read-only view of one leaf, as consumed by the MaxRank algorithms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeafView {
-    /// Index of the leaf node inside the tree (stable across insertions that
-    /// do not split it).
+    /// Index of the leaf node inside the tree (stable until the leaf splits).
     pub node: usize,
     /// The leaf's region.
     pub bounds: BoundingBox,
@@ -77,6 +77,10 @@ struct QNode {
 }
 
 /// The augmented quad-tree over the reduced query space `[0,1]^(d−1)`.
+///
+/// Leaves split on demand: [`HalfSpaceQuadTree::insert`] only files the
+/// half-space, and a leaf whose partial-overlap set has outgrown the
+/// threshold is split by the [`LeafFrontier`] when the walk reaches it.
 #[derive(Debug, Clone)]
 pub struct HalfSpaceQuadTree {
     dr: usize,
@@ -134,13 +138,15 @@ impl HalfSpaceQuadTree {
         &self.halfspaces[id as usize]
     }
 
-    /// Total number of nodes.
+    /// Number of nodes materialised so far (leaves split only when a
+    /// [`LeafFrontier`] reaches them).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Number of leaves (including leaves that are partially outside the
-    /// permissible simplex; fully outside leaves are never created).
+    /// Number of materialised leaves (including leaves that are partially
+    /// outside the permissible simplex; fully outside leaves are never
+    /// created).
     pub fn leaf_count(&self) -> usize {
         self.nodes
             .iter()
@@ -149,6 +155,9 @@ impl HalfSpaceQuadTree {
     }
 
     /// Inserts a half-space of the reduced query space, returning its id.
+    ///
+    /// The half-space is filed into the containment sets and the
+    /// partial-overlap sets of the leaves it reaches; no leaf is split here.
     ///
     /// # Panics
     /// Panics if the half-space dimensionality does not match the tree's.
@@ -172,11 +181,6 @@ impl HalfSpaceQuadTree {
                 let children = match &mut self.nodes[node_idx].kind {
                     NodeKind::Leaf { partial } => {
                         partial.push(id);
-                        let should_split = partial.len() > self.config.split_threshold
-                            && self.nodes[node_idx].depth < self.config.max_depth;
-                        if should_split {
-                            self.split_leaf(node_idx);
-                        }
                         return;
                     }
                     // A `Range` clone copies two indices, not the child list.
@@ -189,19 +193,30 @@ impl HalfSpaceQuadTree {
         }
     }
 
-    /// Splits a leaf into its quadrants, redistributing its partial-overlap
-    /// set.  Children fully outside the permissible simplex are discarded.
-    fn split_leaf(&mut self, node_idx: usize) {
-        let (bounds, depth, partial) = {
-            let node = &mut self.nodes[node_idx];
-            let partial = match &mut node.kind {
-                NodeKind::Leaf { partial } => std::mem::take(partial),
-                NodeKind::Internal { .. } => unreachable!("split_leaf on internal node"),
-            };
-            (node.bounds.clone(), node.depth, partial)
+    /// Whether `node_idx` is a leaf whose partial-overlap set has outgrown
+    /// the threshold, at a depth below the cap.
+    fn needs_split(&self, node_idx: usize) -> bool {
+        let node = &self.nodes[node_idx];
+        match &node.kind {
+            NodeKind::Leaf { partial } => {
+                partial.len() > self.config.split_threshold && node.depth < self.config.max_depth
+            }
+            NodeKind::Internal { .. } => false,
+        }
+    }
+
+    /// Splits a leaf one level into its quadrants, redistributing its
+    /// partial-overlap set, and returns the children.  Quadrants fully
+    /// outside the permissible simplex are discarded.
+    fn split_leaf(&mut self, node_idx: usize) -> Range<usize> {
+        let node = &mut self.nodes[node_idx];
+        let NodeKind::Leaf { partial } = &mut node.kind else {
+            unreachable!("split_leaf on internal node")
         };
+        let partial = std::mem::take(partial);
+        let (quadrants, depth) = (node.bounds.quadrants(), node.depth);
         let first_child = self.nodes.len();
-        for quadrant in bounds.quadrants() {
+        for quadrant in quadrants {
             // Drop quadrants completely outside Σ q_i < 1.
             if quadrant.relation_to(&self.simplex) == BoxRelation::Disjoint {
                 continue;
@@ -215,7 +230,7 @@ impl HalfSpaceQuadTree {
                     BoxRelation::Disjoint => {}
                 }
             }
-            let child = QNode {
+            self.nodes.push(QNode {
                 bounds: quadrant,
                 depth: depth + 1,
                 parent: Some(node_idx),
@@ -223,48 +238,34 @@ impl HalfSpaceQuadTree {
                 kind: NodeKind::Leaf {
                     partial: child_partial,
                 },
-            };
-            self.nodes.push(child);
+            });
         }
         let children = first_child..self.nodes.len();
         self.nodes[node_idx].kind = NodeKind::Internal {
             children: children.clone(),
         };
-        // Recursively split children that are still over the threshold.
-        for child in children {
-            let needs_split = match &self.nodes[child].kind {
-                NodeKind::Leaf { partial } => {
-                    partial.len() > self.config.split_threshold
-                        && self.nodes[child].depth < self.config.max_depth
-                }
-                NodeKind::Internal { .. } => false,
-            };
-            if needs_split {
-                self.split_leaf(child);
-            }
-        }
+        children
     }
 
-    /// A best-first walk over the leaves in nondecreasing `|F_l|`; see
-    /// [`LeafFrontier`].
-    pub fn frontier(&self) -> LeafFrontier<'_> {
+    /// A best-first walk over the leaves in nondecreasing `|F_l|`, splitting
+    /// the leaves it reaches on demand; see [`LeafFrontier`].
+    pub fn frontier(&mut self) -> LeafFrontier<'_> {
+        let root = (self.nodes[self.root].containment.len(), self.root);
         LeafFrontier {
             tree: self,
-            heap: BinaryHeap::from([Reverse((
-                self.nodes[self.root].containment.len(),
-                self.root,
-            ))]),
+            heap: BinaryHeap::from([Reverse(root)]),
         }
     }
 
-    /// Collects all leaves together with their `F_l` and `P_l` sets, in
-    /// depth-first order.
+    /// Collects the materialised leaves together with their `F_l` and `P_l`
+    /// sets, in depth-first order.
     ///
     /// Leaves fully outside the permissible simplex never exist (discarded at
     /// split time); the root itself always straddles the simplex boundary and
-    /// is therefore kept.  The algorithms walk [`HalfSpaceQuadTree::frontier`]
-    /// instead; this copy of every leaf is the reference the frontier is
-    /// tested against.
+    /// is therefore kept.  Leaves the frontier has not reached yet are
+    /// reported unsplit, whatever the size of their `P_l`.  The algorithms
+    /// walk [`HalfSpaceQuadTree::frontier`] instead; this copy of every leaf
+    /// is the reference the frontier is tested against.
     pub fn leaves(&self) -> Vec<LeafView> {
         let mut out = Vec::new();
         let mut inherited = Vec::new();
@@ -343,9 +344,16 @@ impl HalfSpaceQuadTree {
 /// reach the top, and `F_l` is assembled only for the leaves handed out, so
 /// subtrees whose inherited count already exceeds the caller's cap are never
 /// visited.
+///
+/// A leaf that reaches the top with more than `split_threshold` partial
+/// half-spaces (below `max_depth`) is split one level there and its
+/// children go back on the heap.  A node's `P_l` is exactly the inserted
+/// half-spaces crossing it, whenever it is split, so every leaf handed out
+/// has the bounds, `F_l` and `P_l` of a leaf of the tree split eagerly
+/// after every insert; subtrees beyond the cap are simply never split.
 #[derive(Debug)]
 pub struct LeafFrontier<'a> {
-    tree: &'a HalfSpaceQuadTree,
+    tree: &'a mut HalfSpaceQuadTree,
     /// `(inherited containment count, node)` of the unexpanded nodes.
     heap: BinaryHeap<Reverse<(usize, usize)>>,
 }
@@ -363,20 +371,27 @@ impl LeafFrontier<'_> {
                 return None;
             }
             self.heap.pop();
-            let nodes = &self.tree.nodes;
-            match &nodes[node_idx].kind {
-                NodeKind::Leaf { partial } => {
-                    return Some(self.tree.leaf_view(node_idx, count, partial))
-                }
-                NodeKind::Internal { children } => {
-                    for child in children.clone() {
-                        let inherited = count + nodes[child].containment.len();
-                        self.heap.push(Reverse((inherited, child)));
+            let children = if self.tree.needs_split(node_idx) {
+                self.tree.split_leaf(node_idx)
+            } else {
+                match &self.tree.nodes[node_idx].kind {
+                    NodeKind::Leaf { partial } => {
+                        return Some(self.tree.leaf_view(node_idx, count, partial))
                     }
+                    NodeKind::Internal { children } => children.clone(),
                 }
+            };
+            for child in children {
+                let inherited = count + self.tree.nodes[child].containment.len();
+                self.heap.push(Reverse((inherited, child)));
             }
         }
         None
+    }
+
+    /// Borrow a stored half-space by id (the walk holds the tree mutably).
+    pub fn halfspace(&self, id: HalfSpaceId) -> &HalfSpace {
+        self.tree.halfspace(id)
     }
 }
 
@@ -386,6 +401,34 @@ mod tests {
 
     fn hs(coeffs: &[f64], rhs: f64) -> HalfSpace {
         HalfSpace::new(coeffs.to_vec(), rhs)
+    }
+
+    /// Splits every leaf over the threshold, as splitting after every insert
+    /// would have: a walk with no cap reaches every leaf.
+    fn split_all(t: &mut HalfSpaceQuadTree) {
+        let mut frontier = t.frontier();
+        while frontier.next_within(usize::MAX).is_some() {}
+    }
+
+    /// A leaf's shape without its node index: corners, `F_l` as a set, `P_l`.
+    type Shape = (Vec<u64>, Vec<u64>, Vec<HalfSpaceId>, Vec<HalfSpaceId>);
+
+    fn shape(leaf: &LeafView) -> Shape {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        let mut full = leaf.full.clone();
+        full.sort_unstable();
+        (
+            bits(&leaf.bounds.lo),
+            bits(&leaf.bounds.hi),
+            full,
+            leaf.partial.clone(),
+        )
+    }
+
+    fn sorted_shapes<'a>(leaves: impl IntoIterator<Item = &'a LeafView>) -> Vec<Shape> {
+        let mut shapes: Vec<_> = leaves.into_iter().map(shape).collect();
+        shapes.sort();
+        shapes
     }
 
     #[test]
@@ -435,6 +478,8 @@ mod tests {
         .into_iter()
         .map(|h| t.insert(h))
         .collect();
+        assert_eq!(t.leaf_count(), 1, "insert never splits");
+        split_all(&mut t);
         assert!(t.leaf_count() > 1, "leaf must have split");
         for leaf in t.leaves() {
             // F_l and P_l are disjoint and never contain duplicates.
@@ -488,6 +533,7 @@ mod tests {
             let rhs = next() - 0.5;
             t.insert(HalfSpace::new(coeffs, rhs));
         }
+        split_all(&mut t);
         for leaf in t.leaves() {
             for id in 0..t.halfspace_count() as HalfSpaceId {
                 let h = t.halfspace(id);
@@ -504,7 +550,7 @@ mod tests {
     }
 
     /// Drains the frontier at a fixed cap.
-    fn walk(t: &HalfSpaceQuadTree, cap: usize) -> Vec<LeafView> {
+    fn walk(t: &mut HalfSpaceQuadTree, cap: usize) -> Vec<LeafView> {
         let mut frontier = t.frontier();
         std::iter::from_fn(|| frontier.next_within(cap)).collect()
     }
@@ -527,6 +573,8 @@ mod tests {
             v = (v * 997.0).fract();
             t.insert(hs(&[a, b], v * 0.8 - 0.2));
         }
+        let lazy = t.clone();
+        split_all(&mut t);
         let mut reference = t.leaves();
         reference.sort_by_key(|l| (l.full.len(), l.node));
         let deepest = reference.last().unwrap().full.len();
@@ -540,7 +588,18 @@ mod tests {
                 .filter(|l| l.full.len() <= cap)
                 .cloned()
                 .collect();
-            assert_eq!(walk(&t, cap), expected, "cap {cap}");
+            assert_eq!(walk(&mut t, cap), expected, "cap {cap}");
+            // On the unsplit tree the walk splits what it reaches and hands
+            // out the same leaves, in nondecreasing |F_l|.
+            let walked = walk(&mut lazy.clone(), cap);
+            assert!(walked
+                .windows(2)
+                .all(|w| w[0].full.len() <= w[1].full.len()));
+            assert_eq!(
+                sorted_shapes(&walked),
+                sorted_shapes(&expected),
+                "cap {cap}"
+            );
         }
         // Lowering the cap below the next leaf ends the walk for good.
         let stop = reference.iter().position(|l| !l.full.is_empty()).unwrap();
@@ -566,6 +625,7 @@ mod tests {
         );
         t.insert(hs(&[1.0, -1.0], 0.0));
         t.insert(hs(&[-1.0, 1.0], 0.0));
+        split_all(&mut t);
         assert!(t.leaf_count() > 1);
         for leaf in t.leaves() {
             let lo_sum: f64 = leaf.bounds.lo.iter().sum();
@@ -595,6 +655,7 @@ mod tests {
                 0.5 * (angle.cos() + angle.sin()),
             ));
         }
+        split_all(&mut t);
         let max_depth_seen = t
             .leaves()
             .iter()

@@ -626,7 +626,9 @@ mod tests {
 
     #[test]
     fn result_cache_shared_across_threads() {
-        let cache = Arc::new(ResultCache::new(64));
+        // Room for every key, so no thread's `get` can lose its key to the
+        // other threads' inserts, however the threads interleave.
+        let cache = Arc::new(ResultCache::new(200));
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let cache = Arc::clone(&cache);
@@ -641,7 +643,17 @@ mod tests {
         });
         let s = cache.stats();
         assert_eq!(s.hits, 200);
-        assert_eq!(s.len, 64);
-        assert_eq!(s.evictions, 200 - 64);
+        assert_eq!(s.len, 200);
+        assert_eq!(s.evictions, 0);
+        // Evictions, single-threaded: each of 64 new keys pushes out one of
+        // the 200 shared ones and stays resident itself.
+        for k in 200..264 {
+            cache.insert(key(k), dummy_result());
+            assert!(cache.get(&key(k)).is_some());
+        }
+        let s = cache.stats();
+        assert_eq!(s.hits, 264);
+        assert_eq!(s.len, 200);
+        assert_eq!(s.evictions, 64);
     }
 }

@@ -26,14 +26,20 @@ const DATASET: &str = "frail";
 /// Serializes tests toggling the process-global fault hook.
 static HOOK: Mutex<()> = Mutex::new(());
 
-/// RAII guard: holds the serialization lock and always restores `Off`.
-struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+/// Takes the serialization lock.  A test holds it for its whole body, so no
+/// other test's injected fault can hit one of its healthy updates.
+fn serialize() -> MutexGuard<'static, ()> {
+    HOOK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// RAII guard: injects a fault under the serialization lock (held by the
+/// caller) and always restores `Off`.
+struct FaultGuard;
 
 impl FaultGuard {
-    fn engage(mode: WalFailMode) -> Self {
-        let guard = HOOK.lock().unwrap_or_else(PoisonError::into_inner);
+    fn engage(_serialized: &MutexGuard<'static, ()>, mode: WalFailMode) -> Self {
         set_wal_fail_mode(mode);
-        Self(guard)
+        Self
     }
 }
 
@@ -83,6 +89,7 @@ fn insert(x: f64) -> Vec<Update> {
 /// serving + typed errors + observability, then restart on a healthy disk
 /// and verify the mode cleared and updates flow again.
 fn degrade_and_recover(mode: WalFailMode, tag: &str) {
+    let serialized = serialize();
     let dir = scratch_dir(tag);
     let (registry, service) = durable_service(&dir);
 
@@ -94,7 +101,7 @@ fn degrade_and_recover(mode: WalFailMode, tag: &str) {
     assert_eq!(answer.version, 1);
 
     // Inject the fault: the next update must be rejected, not half-applied.
-    let guard = FaultGuard::engage(mode);
+    let guard = FaultGuard::engage(&serialized, mode);
     let err = service.update(DATASET, &insert(0.5)).unwrap_err();
     assert!(
         matches!(err, ServiceError::Internal(ref msg) if msg.contains("update not committed")),
@@ -184,10 +191,11 @@ fn disk_full_degrades_to_read_only_and_restart_recovers() {
 
 #[test]
 fn manual_checkpoint_of_a_degraded_dataset_is_refused() {
+    let serialized = serialize();
     let dir = scratch_dir("checkpoint");
     let (registry, service) = durable_service(&dir);
     service.update(DATASET, &insert(0.25)).unwrap();
-    let _guard = FaultGuard::engage(WalFailMode::Append);
+    let _guard = FaultGuard::engage(&serialized, WalFailMode::Append);
     let _ = service.update(DATASET, &insert(0.5)).unwrap_err();
     let handle = registry.handle(DATASET).unwrap();
     let err = handle.checkpoint().unwrap_err();
